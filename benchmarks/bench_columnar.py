@@ -1,10 +1,11 @@
-"""Columnar replay engine + stack-distance oracle benchmark and gate.
+"""Columnar synthesis + stack-distance oracle benchmark and gate.
 
 Two committed contracts, each a same-box ratio (machine-independent,
 safe to gate in CI):
 
-* ``columnar_replay`` — one replay of a recorded trace through the
-  columnar engine vs the scalar packed event loop.  The gated number
+* ``columnar_replay`` — one replay of a recorded trace through
+  columnar synthesis (the oracle engine's per-model path) vs the
+  scalar packed event loop.  The gated number
   is the *shared-analysis* replay (``speedup``): every consumer here
   (the sweep farm, ``oracle_sweep``, repeated ``run_workload`` cells)
   replays one trace against many models, and the whole-trace analysis
@@ -23,7 +24,8 @@ safe to gate in CI):
   capacities sit at or above the trace's peak register demand, which
   is exactly the regime the paper's fig11 grid occupies (the NSF
   rarely spills); for the sub-peak regime the same run reports
-  ``curves_speedup``: :func:`capacity_curves`' one Fenwick pass vs an
+  ``curves_speedup``: one :func:`capacity_tables` scan (the NumPy LRU
+  kernel, what the oracle engine runs for sub-peak cells) vs an
   event-exact replay per capacity, baseline-gated.
 
 Usage::
@@ -155,13 +157,13 @@ def run_oracle_sweep():
     scan_t, oracle_t, event_t = _best_times(
         [single_scan, oracle_pass, event_pass])
 
-    # sub-peak regime: the one-pass Fenwick curves vs one event-exact
+    # sub-peak regime: one full-table LRU scan vs one event-exact
     # replay per capacity point
     sub_grid = [max(1, peak * (i + 1) // 7) for i in range(6)]
     sub_grid = sorted(set(sub_grid))
 
     def curves_pass():
-        oracle.capacity_curves(trace, sub_grid)
+        oracle.capacity_tables(trace, sub_grid)
 
     def event_sub_pass():
         for capacity in sub_grid:

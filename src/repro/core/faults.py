@@ -51,6 +51,23 @@ class FaultConfigError(ReproError):
     pass
 
 
+class RunawayError(ReproError):
+    """A faulted run exceeded its register-operation budget.
+
+    A corrupted value can steer a workload's control flow (a loop
+    bound, a recursion limit) into a run that never ends; the budget
+    turns that into a detected failure instead of a hang.
+    """
+
+    def __init__(self, operations, budget):
+        super().__init__(
+            f"runaway run: {operations} register operations exceed the "
+            f"budget of {budget}"
+        )
+        self.operations = operations
+        self.budget = budget
+
+
 class FaultyRegisterFile:
     """Injects a single fault into the wrapped model's event stream.
 
@@ -58,9 +75,15 @@ class FaultyRegisterFile:
     single *hard* fault whose corruption persists until the line is
     retired.  Either way ``injected`` flips true at the moment the
     fault lands.
+
+    ``max_operations`` bounds the run: the read, write, free or switch
+    that takes the operation count past it raises
+    :class:`RunawayError` (a watchdog for faults that derail the
+    workload's control flow).
     """
 
-    def __init__(self, inner, kind, trigger_at=100):
+    def __init__(self, inner, kind, trigger_at=100,
+                 max_operations=float("inf")):
         if kind not in FAULT_KINDS:
             raise FaultConfigError(
                 f"unknown fault kind {kind!r}; expected one of "
@@ -69,6 +92,7 @@ class FaultyRegisterFile:
         self.inner = inner
         self.kind = kind
         self.trigger_at = trigger_at
+        self.max_operations = max_operations
         self.operations = 0
         self.injected = False
         self._current_values = {}
@@ -80,6 +104,8 @@ class FaultyRegisterFile:
 
     def write(self, offset, value, cid=None):
         self.operations += 1
+        if self.operations > self.max_operations:
+            raise RunawayError(self.operations, self.max_operations)
         cid_key = cid if cid is not None else self.inner.current_cid
         key = (cid_key, offset)
         if self._fires("drop_write"):
@@ -104,6 +130,8 @@ class FaultyRegisterFile:
 
     def read(self, offset, cid=None):
         self.operations += 1
+        if self.operations > self.max_operations:
+            raise RunawayError(self.operations, self.max_operations)
         cid_key = cid if cid is not None else self.inner.current_cid
         value, result = self.inner.read(offset, cid=cid)
         if self._fires("corrupt_reload"):
@@ -139,6 +167,8 @@ class FaultyRegisterFile:
 
     def free_register(self, offset, cid=None):
         self.operations += 1
+        if self.operations > self.max_operations:
+            raise RunawayError(self.operations, self.max_operations)
         # Evict the freed key from the value-tracking maps: a later
         # allocation of the same (cid, offset) must not inherit this
         # incarnation's values, or ``stale_read`` could fire against a
@@ -150,6 +180,8 @@ class FaultyRegisterFile:
 
     def switch_to(self, cid):
         self.operations += 1
+        if self.operations > self.max_operations:
+            raise RunawayError(self.operations, self.max_operations)
         if (self.kind == "lose_spill" and not self.injected
                 and self.operations >= self.trigger_at):
             # Drop the context's save area: every backed offset whose

@@ -110,6 +110,23 @@ class CompressionIntegrityError(RegisterFileError):
         self.received = received
 
 
+class SealedModelError(ReproError):
+    """An access to a model whose statistics were synthesized rather
+    than replayed (served from the oracle's tables or the columnar
+    analysis).  Only ``.stats`` and the backing store's word counters
+    are meaningful on such a model; its lines, frames and contexts were
+    never built, so any further access would read stale state."""
+
+    def __init__(self, model, method):
+        super().__init__(
+            f"{model}.{method}() on a sealed stats-only model: its "
+            f"statistics were synthesized, its internal state was never "
+            f"built; read .stats, or replay onto a fresh model"
+        )
+        self.model = model
+        self.method = method
+
+
 class SnapshotError(ReproError):
     """A checkpoint could not be captured or restored.
 

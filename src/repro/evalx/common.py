@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from repro.core import NamedStateRegisterFile, SegmentedRegisterFile
 from repro.trace import cache as trace_cache
 from repro.trace.columnar import replay_columnar, selected_engine
-from repro.trace.oracle import replay_oracle, serve_from_tables
+from repro.trace.oracle import serve_from_tables
 from repro.trace.replay import replay
 
 SEQ_REGISTERS = 80
@@ -87,21 +87,18 @@ def capacity_plan(register_budgets):
 def _replay(trace, model):
     """Replay through the engine ``REPRO_REPLAY_ENGINE`` selects.
 
-    ``event`` (the default) is the scalar packed loop; ``columnar``
-    and ``oracle`` synthesize the outcome from the shared NumPy
-    whole-trace analysis when the (trace, model) pair sits inside the
-    exactness boundary and fall back to the scalar loop otherwise —
-    every engine leaves byte-identical statistics by construction.
-    Inside a :func:`capacity_plan` block the oracle engine serves
-    sub-peak cells from the shared design-space tables first.
+    ``event`` (the default) is the scalar packed loop.  ``oracle``
+    serves the cell from the shared design-space tables inside a
+    :func:`capacity_plan` block, else synthesizes the statistics from
+    the shared NumPy whole-trace analysis when the (trace, model) pair
+    never evicts, and falls back to the scalar loop otherwise.  Both
+    engines leave byte-identical statistics by construction; a model
+    the oracle served is sealed (stats only, any access raises).
     """
-    engine = selected_engine()
-    if engine == "columnar":
-        return replay_columnar(trace, model)
-    if engine == "oracle":
+    if selected_engine() == "oracle":
         if _PLAN and serve_from_tables(trace, model, _PLAN[-1]):
             return model
-        return replay_oracle(trace, model)
+        return replay_columnar(trace, model)
     return replay(trace, model, verify=False)
 
 

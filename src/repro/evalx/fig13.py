@@ -14,9 +14,9 @@ bits dominate; large lines approach segmented-file behaviour.
 
 These cells use line-scope reloads with fetch-on-write, which sit
 outside the stack-distance oracle's exactness boundary — under
-``--engine oracle`` they are served by the columnar above-peak
-synthesis or event-exact replay, never the design-space tables, so no
-:func:`~repro.evalx.common.capacity_plan` is declared here.
+``--engine oracle`` they fall back to event-exact replay, never the
+design-space tables, so no :func:`~repro.evalx.common.capacity_plan`
+is declared here.
 """
 
 from repro.evalx.common import (

@@ -9,7 +9,7 @@ by the highest rung of the recovery ladder it needed:
 * ``reloaded``  — a clean register was demand-reloaded from backing;
 * ``trapped``   — a dirty uncorrectable error raised a machine check;
 * ``detected``  — another verification layer caught it (strict-mode
-  read faults, deadlock detection, ...);
+  read faults, deadlock detection, the runaway watchdog, ...);
 * ``harmless``  — the fault landed but was never consumed;
 * ``silent``    — the run finished with a *wrong answer* and no error.
 
@@ -25,6 +25,7 @@ CLI::
     python -m repro.evalx.resilience --check    # assert the contract
 """
 
+import functools
 import random
 
 from repro.core import NamedStateRegisterFile, SegmentedRegisterFile
@@ -41,6 +42,13 @@ CAMPAIGN_WORKLOAD = "GateSim"
 CAMPAIGN_NSF_REGISTERS = 24
 CAMPAIGN_SEG_REGISTERS = 40
 TRIGGERS_PER_CELL = 3
+
+#: watchdog: a faulted run may issue this many times the register
+#: operations of the fault-free run (same model, scale and seed) before
+#: it is stopped and classified ``detected``.  Faulted runs that finish
+#: stay within ~1% of the fault-free count; one whose corrupted values
+#: derailed the workload's control flow would otherwise never end.
+RUNAWAY_FACTOR = 4
 
 OUTCOMES = ("corrected", "reread", "reloaded", "trapped", "detected",
             "harmless", "silent")
@@ -61,6 +69,18 @@ def make_campaign_model(model_kind, context_size=20):
     raise ValueError(f"unknown campaign model {model_kind!r}")
 
 
+@functools.lru_cache(maxsize=None)
+def fault_free_operations(model_kind, scale, seed):
+    """Register operations of the campaign workload with no fault."""
+    from repro.workloads import get_workload
+
+    probe = FaultyRegisterFile(make_campaign_model(model_kind),
+                               FAULT_KINDS[0], trigger_at=float("inf"))
+    get_workload(CAMPAIGN_WORKLOAD).run(probe, scale=scale, seed=seed,
+                                        check=False, verify_values=False)
+    return probe.operations
+
+
 def run_single(kind, model_kind, protection, trigger, scale=0.25, seed=3,
                trap_unit=None):
     """One injected run; returns its classification record.
@@ -69,11 +89,17 @@ def run_single(kind, model_kind, protection, trigger, scale=0.25, seed=3,
     the shadow checker would catch every corruption by construction,
     which is precisely the safety net a hardware protection layer must
     not depend on.  Detection must come from ECC/parity or not at all.
+    A run that exceeds :data:`RUNAWAY_FACTOR` times the fault-free
+    operation count is stopped by the watchdog and counts as
+    ``detected``.
     """
     from repro.workloads import get_workload
 
     inner = make_campaign_model(model_kind)
-    faulty = FaultyRegisterFile(inner, kind, trigger_at=trigger)
+    budget = RUNAWAY_FACTOR * fault_free_operations(model_kind, scale,
+                                                    seed)
+    faulty = FaultyRegisterFile(inner, kind, trigger_at=trigger,
+                                max_operations=budget)
     if protection == "off":
         model = faulty
         rstats = None

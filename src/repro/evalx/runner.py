@@ -670,8 +670,8 @@ def main(argv=None):
                               "farm (durable queue + lease-based "
                               "work-stealing workers; --jobs sets the "
                               "worker count)")
-    sweep_p.add_argument("--engine", choices=("event", "columnar",
-                                              "oracle"), default=None,
+    sweep_p.add_argument("--engine", choices=("event", "oracle"),
+                         default=None,
                          help="replay engine for every cell (exported "
                               "as REPRO_REPLAY_ENGINE to cell "
                               "subprocesses; default: inherited env "

@@ -45,8 +45,8 @@ def main(argv=None):
     sweep.add_argument("--worker-output", action="store_true",
                        help="let workers inherit stdout/stderr "
                             "(debugging)")
-    sweep.add_argument("--engine", choices=("event", "columnar",
-                                            "oracle"), default=None,
+    sweep.add_argument("--engine", choices=("event", "oracle"),
+                       default=None,
                        help="replay engine for every cell (exported "
                             "as REPRO_REPLAY_ENGINE to worker and "
                             "cell subprocesses; default: inherited "
@@ -66,8 +66,8 @@ def main(argv=None):
     smoke.add_argument("--scenarios", default=None,
                        help="comma list restricting the campaign "
                             f"(default: all of {list(farm.SCENARIOS)})")
-    smoke.add_argument("--engine", choices=("event", "columnar",
-                                            "oracle"), default=None,
+    smoke.add_argument("--engine", choices=("event", "oracle"),
+                       default=None,
                        help="replay engine for the reference sweep "
                             "and every farm scenario")
 

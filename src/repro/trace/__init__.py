@@ -11,7 +11,6 @@ from repro.trace.oracle import (
     OracleUnsupported,
     capacity_curves,
     oracle_sweep,
-    replay_oracle,
 )
 from repro.trace.recorder import TracingRegisterFile
 from repro.trace.replay import ReplayDivergenceError, replay, sweep
@@ -28,7 +27,6 @@ __all__ = [
     "oracle_sweep",
     "replay",
     "replay_columnar",
-    "replay_oracle",
     "selected_engine",
     "sweep",
 ]

@@ -1,10 +1,10 @@
-"""NumPy-accelerated Mattson kernel for the LRU capacity oracle.
+"""NumPy-accelerated Mattson kernel: the LRU capacity oracle's scan.
 
-The scalar walk in :mod:`repro.trace.oracle` spends most of its time
-in per-event Python bookkeeping: dict lookups keyed by ``(instance,
-line)``, a pure-Python Fenwick tree costing ``O(log n)`` interpreted
-iterations per access, and presence/first-touch state machines.  This
-kernel removes all of it in two moves:
+A direct per-event LRU stack walk spends most of its time in
+interpreted bookkeeping: dict lookups keyed by ``(instance, line)``,
+an order-statistic tree over recency timestamps, and presence /
+first-touch state machines.  This kernel removes all of it in two
+moves:
 
 1. **Vectorized preprocessing.**  One batched composite-key
    ``searchsorted`` attributes every access, ``FREE`` and ``END`` to
@@ -16,9 +16,9 @@ kernel removes all of it in two moves:
    first-touch vs re-reference, real free vs no-op, cold read
    (raises), and each instance's live-key set at its ``END``.  The
    surviving events compile into a compact integer program with
-   ticks and switches already stripped.
+   switches stripped and tick runs coalesced.
 
-2. **A windowed recency stack.**  The curve histograms are clamped at
+2. **A windowed recency stack.**  The histograms are clamped at
    ``cmax + 1`` (every deeper reference lands in the overflow bin),
    so the walk only needs *exact* stack positions for the top
    ``cmax + 1`` entries.  Those live in one flat Python list —
@@ -32,14 +32,14 @@ kernel removes all of it in two moves:
    exceeds the clamp, after which it can never matter again (it is
    non-decreasing).
 
-The result is byte-identical to the scalar Fenwick walk — the
-no-NumPy fallback and reference implementation — at a fraction of the
-interpreted work per event.  ``lru_scan`` returns ``None`` (scalar
-fallback) for trace shapes the vectorized attribution cannot key
-(composite-key overflow, negative ids); it raises
-:class:`~repro.trace.oracle.OracleUnsupported` for the same traces
-the scalar walk rejects (cold reads, wide values, ``FREE`` at
-``line_size > 1``, accesses outside ``BEGIN``/``END``).
+This is the only LRU scan: event replay is its exactness reference
+(``tests/test_oracle_differential.py``).  :func:`lru_scan` raises
+:class:`~repro.trace.oracle.OracleUnsupported` without NumPy, for
+trace shapes the vectorized attribution cannot key (composite-key
+overflow, negative ids, out-of-range offsets), and outside the
+oracle's boundary (cold reads, wide values, ``FREE`` at
+``line_size > 1``, accesses outside ``BEGIN``/``END``); callers then
+replay event by event.
 """
 
 try:
@@ -54,15 +54,13 @@ from repro.trace.events import (
     OP_END,
     OP_FREE,
     OP_READ,
-    OP_SWITCH,
     OP_TICK,
     OP_WRITE,
 )
 
 _HOLE = -1
 
-# program opcodes (what survives preprocessing); ticks only appear in
-# tables mode, where the occupancy integrals need them interleaved
+# program opcodes (what survives preprocessing)
 _P_READ, _P_WRITE, _P_FIRST, _P_FREE, _P_END, _P_TICK = range(6)
 
 
@@ -97,20 +95,18 @@ def _segmented_last_before(group, hit_pos, n):
     return out
 
 
-def _compile(trace, line_size, tables=False):
+def _compile(trace, line_size):
     """Validate + compile ``trace`` into the kernel's integer program.
 
-    Returns ``(program_columns, end_lists, n_reads, n_writes,
-    n_keys, p0_reads, p0_writes, extras)`` or ``None`` when the
-    composite keying cannot represent the trace (scalar fallback).
-    Raises ``OracleUnsupported`` for traces outside the oracle's
-    boundary, mirroring the scalar walk.  With ``tables`` the program
-    additionally interleaves coalesced ``TICK`` events (their value in
-    the key column) and ``extras`` carries ``(key_inst, n_inst,
-    n_begin, n_end, n_switch)``; otherwise ``extras`` is ``None``.
+    Returns ``(program_columns, end_lists, n_reads, n_writes, n_keys,
+    p0_reads, p0_writes, key_inst, n_inst, n_end, n_switch)``; the
+    program interleaves coalesced ``TICK`` events (their value in the
+    key column).  Raises ``OracleUnsupported`` for traces outside the
+    oracle's boundary or beyond what the composite keying can
+    represent.
     """
     np = _np
-    from repro.trace.columnar import _column_view
+    from repro.trace.columnar import _column_view, count_switches
 
     arr = _column_view(trace)
     if arr is None:
@@ -131,7 +127,7 @@ def _compile(trace, line_size, tables=False):
     kpos = np.flatnonzero(key_mask)
     koffs = offs[kpos]
     if len(kpos) and (int(koffs.min()) < 0 or int(koffs.max()) >= ctx):
-        return None  # out-of-range offsets: let the scalar walk decide
+        _unsupported("register offset outside the context")
 
     # -- instance attribution (composite-key searchsorted) ------------------
     bg_pos = np.flatnonzero(ops == OP_BEGIN)
@@ -140,11 +136,11 @@ def _compile(trace, line_size, tables=False):
     end_cids = cids[end_pos]
     n_inst = len(bg_pos)
     if len(cids) and int(cids.min()) < 0:
-        return None
+        _unsupported("negative context ids")
     stride = n + 1
     max_cid = int(bg_cids.max()) if n_inst else 0
     if max_cid >= (1 << 62) // stride:
-        return None  # composite key would overflow int64
+        _unsupported("context ids overflow the composite int64 key")
     border = np.argsort(bg_cids, kind="stable")
     bkeys = bg_cids[border] * stride + bg_pos[border]
 
@@ -239,15 +235,13 @@ def _compile(trace, line_size, tables=False):
     key_parts = [skey[kept], einst]
     slot_parts = [slots[order][kept],
                   np.zeros(len(end_pos), dtype=np.int64)]
-    if tables:
-        # the occupancy/residency integrals advance on TICK, so ticks
-        # join the program (value in the key column)
-        tick_pos = np.flatnonzero(ops == OP_TICK)
-        pos_parts.append(tick_pos)
-        type_parts.append(
-            np.full(len(tick_pos), _P_TICK, dtype=np.int64))
-        key_parts.append(arr[tick_pos, 3])
-        slot_parts.append(np.zeros(len(tick_pos), dtype=np.int64))
+    # the occupancy/residency integrals advance on TICK, so ticks join
+    # the program (value in the key column)
+    tick_pos = np.flatnonzero(ops == OP_TICK)
+    pos_parts.append(tick_pos)
+    type_parts.append(np.full(len(tick_pos), _P_TICK, dtype=np.int64))
+    key_parts.append(arr[tick_pos, 3])
+    slot_parts.append(np.zeros(len(tick_pos), dtype=np.int64))
     ev_pos = np.concatenate(pos_parts)
     ev_type = np.concatenate(type_parts)
     ev_key = np.concatenate(key_parts)
@@ -285,341 +279,53 @@ def _compile(trace, line_size, tables=False):
             mkey = mkey[keepm]
             mslot = mslot[keepm]
 
-    extras = None
-    if tables:
-        # coalesce tick runs (stripping depth-0 accesses above leaves
-        # many adjacent): only the run head survives, carrying the sum
-        tm = mtype == _P_TICK
-        if bool(tm.any()):
-            is_start = tm.copy()
-            is_start[1:] &= ~tm[:-1]
-            starts = np.flatnonzero(is_start)
-            tick_idx = np.flatnonzero(tm)
-            rid = np.searchsorted(starts, tick_idx, side="right") - 1
-            sums = np.zeros(len(starts), dtype=np.int64)
-            np.add.at(sums, rid, mkey[tick_idx])
-            mkey = mkey.copy()
-            mkey[starts] = sums
-            keepm = ~tm
-            keepm[starts] = True
-            mtype = mtype[keepm]
-            mkey = mkey[keepm]
-            mslot = mslot[keepm]
-        # the SWITCH / END automaton the scalar walk runs inline:
-        # a switch counts when the current context changes, and an
-        # END of the current context clears it
-        n_switch = 0
-        sw_pos = np.flatnonzero(ops == OP_SWITCH)
-        if len(sw_pos):
-            apos = np.concatenate([sw_pos, end_pos])
-            acid = np.concatenate([cids[sw_pos], end_cids])
-            is_sw = np.zeros(len(apos), dtype=bool)
-            is_sw[:len(sw_pos)] = True
-            aorder = np.argsort(apos, kind="stable")
-            cur = None
-            for sw, c in zip(is_sw[aorder].tolist(),
-                             acid[aorder].tolist()):
-                if sw:
-                    if c != cur:
-                        n_switch += 1
-                        cur = c
-                elif cur == c:
-                    cur = None
-        key_inst = ((uniq // nlpc).tolist() if len(uniq)
-                    else [])
-        extras = (key_inst, n_inst, n_inst, len(end_pos), n_switch)
+    # coalesce tick runs (stripping depth-0 accesses above leaves many
+    # adjacent): only the run head survives, carrying the sum
+    tm = mtype == _P_TICK
+    if bool(tm.any()):
+        is_start = tm.copy()
+        is_start[1:] &= ~tm[:-1]
+        starts = np.flatnonzero(is_start)
+        tick_idx = np.flatnonzero(tm)
+        rid = np.searchsorted(starts, tick_idx, side="right") - 1
+        sums = np.zeros(len(starts), dtype=np.int64)
+        np.add.at(sums, rid, mkey[tick_idx])
+        mkey = mkey.copy()
+        mkey[starts] = sums
+        keepm = ~tm
+        keepm[starts] = True
+        mtype = mtype[keepm]
+        mkey = mkey[keepm]
+        mslot = mslot[keepm]
 
     n_writes = int(is_w.sum()) if len(order) else 0
     n_reads = int((sops == OP_READ).sum()) if len(order) else 0
+    key_inst = (uniq // nlpc).tolist()
     return ((mtype.tolist(), mkey.tolist(), mslot.tolist()),
             end_lists, n_reads, n_writes, len(uniq),
-            p0_reads, p0_writes, extras)
+            p0_reads, p0_writes, key_inst, n_inst, len(end_pos),
+            count_switches(ops, cids, end_pos))
 
 
-def _walk_flat(program, end_lists, nk, hists, clamp):
+def _walk_flat_tables(program, end_lists, nk, hists, clamp, caps, per,
+                      kinst):
     """Windowed-stack walk specialized for ``line_size == 1``.
 
     With one register per line the slot validity threshold is always
     0 for a present register, so read depth, live-span close and
     stack depth coincide and no per-key threshold table is needed.
     ``nh`` counts the holes currently inside the window: while it is
-    zero (the common case) the hole scan and its exception are
-    skipped entirely.  While the stack has never exceeded the window
-    (``total <= limit``) the window *is* the whole stack, so every
-    present key and every hole is in-window and ``total`` is exact.
-    """
-    read_hist, write_hist, fill_hist, evict_hist, live_hist = hists
-    ev_type, ev_key, _ = program
-    window = []
-    windex = window.index
-    winsert = window.insert
-    elget = end_lists.get
-    present = bytearray(nk)
-    HOLE = _HOLE
-    limit = clamp + 1
-    total = 0
-    frozen = False
-    nh = 0
+    zero (the common case) the hole scan is skipped entirely.  While
+    the stack has never exceeded the window (``total <= limit``) the
+    window *is* the whole stack, so ``total`` is exact.
 
-    for op, k in zip(ev_type, ev_key):
-        if op <= _P_WRITE:  # re-reference of a present register
-            try:
-                p = windex(k)
-            except ValueError:
-                p = -1
-            if p > 0:
-                pc = p if p < clamp else clamp
-                if op:
-                    write_hist[pc] += 1
-                else:
-                    read_hist[pc] += 1
-                    fill_hist[pc] += 1
-                live_hist[pc] += 1
-                if nh:
-                    try:
-                        h = windex(HOLE, 0, p)
-                    except ValueError:
-                        h = -1
-                else:
-                    h = -1
-                if h >= 0:
-                    # hole above the register: consumed, and the
-                    # register's old slot becomes the new hole
-                    evict_hist[h] += 1
-                    del window[h]
-                    window[p - 1] = HOLE
-                else:
-                    evict_hist[pc] += 1
-                    del window[p]
-                winsert(0, k)
-            elif p == 0:
-                if op:
-                    write_hist[0] += 1
-                else:
-                    read_hist[0] += 1
-                    fill_hist[0] += 1
-                evict_hist[0] += 1
-            else:  # below the window: everything bins at the clamp
-                if op:
-                    write_hist[clamp] += 1
-                else:
-                    read_hist[clamp] += 1
-                    fill_hist[clamp] += 1
-                live_hist[clamp] += 1
-                if nh:
-                    h = windex(HOLE)
-                    evict_hist[h] += 1
-                    del window[h]
-                    nh -= 1
-                    winsert(0, k)
-                else:
-                    evict_hist[clamp] += 1
-                    winsert(0, k)
-                    if len(window) > limit:
-                        del window[limit:]
-        elif op == _P_FIRST:
-            write_hist[clamp] += 1
-            if nh:
-                h = windex(HOLE)
-                evict_hist[h] += 1
-                del window[h]
-                nh -= 1
-            elif frozen:
-                evict_hist[clamp] += 1
-            else:
-                evict_hist[total if total < clamp else clamp] += 1
-                total += 1
-                if total > limit:
-                    frozen = True
-            winsert(0, k)
-            if len(window) > limit:
-                del window[limit:]
-            present[k] = 1
-        elif op == _P_FREE:
-            try:
-                d = windex(k)
-                window[d] = HOLE
-                nh += 1
-                if d:
-                    live_hist[d if d < clamp else clamp] += 1
-            except ValueError:
-                live_hist[clamp] += 1
-            present[k] = 0
-        else:  # END: delete the instance's live registers as holes
-            for dk in elget(k, ()):
-                try:
-                    d = windex(dk)
-                    window[d] = HOLE
-                    nh += 1
-                    if d:
-                        live_hist[d if d < clamp else clamp] += 1
-                except ValueError:
-                    live_hist[clamp] += 1
-                present[dk] = 0
-
-    # registers still resident at trace end spill live in every file
-    # small enough to have evicted them
-    if nk:
-        at = {}
-        for i, k in enumerate(window):
-            if k != HOLE:
-                at[k] = i
-        get = at.get
-        for k in range(nk):
-            if present[k]:
-                d = get(k, clamp)
-                if d > 0:
-                    live_hist[d if d < clamp else clamp] += 1
-
-
-def _walk_lines(program, end_lists, nk, L, hists, clamp):
-    """Windowed-stack walk for ``line_size > 1``.
-
-    Same stack mechanics as :func:`_walk_flat` plus the per-line slot
-    validity thresholds: a slot is valid in file ``C`` iff
-    ``C > max(threshold, line depth)``, thresholds are bumped to the
-    line's depth on every non-zero-depth touch and reset to 0 for the
-    touched slot.  Thresholds are clamped like every other depth —
-    exact for all clamped outputs.
-    """
-    read_hist, write_hist, fill_hist, evict_hist, live_hist = hists
-    ev_type, ev_key, ev_slot = program
-    window = []
-    windex = window.index
-    winsert = window.insert
-    elget = end_lists.get
-    inv = [None] * nk
-    HOLE = _HOLE
-    limit = clamp + 1
-    total = 0
-    frozen = False
-    nh = 0
-
-    for op, k, slot in zip(ev_type, ev_key, ev_slot):
-        if op <= _P_WRITE:  # re-reference of a present line
-            invs = inv[k]
-            try:
-                p = windex(k)
-            except ValueError:
-                p = clamp
-                inwin = False
-            else:
-                inwin = True
-            iv = invs[slot]
-            if op:
-                write_hist[p if p < clamp else clamp] += 1
-            else:
-                T = iv if iv > p else p
-                read_hist[T if T < clamp else clamp] += 1
-                fill_hist[p if p < clamp else clamp] += 1
-            if iv is not None:
-                M = iv if iv > p else p
-                if M > 0:
-                    live_hist[M if M < clamp else clamp] += 1
-            if inwin:
-                if nh:
-                    try:
-                        h = windex(HOLE, 0, p)
-                    except ValueError:
-                        h = -1
-                else:
-                    h = -1
-                if h >= 0:
-                    evict_hist[h] += 1
-                    del window[h]
-                    window[p - 1] = HOLE
-                else:
-                    evict_hist[p if p < clamp else clamp] += 1
-                    if p:
-                        del window[p]
-                if p or h >= 0:
-                    winsert(0, k)
-            else:
-                if nh:
-                    h = windex(HOLE)
-                    evict_hist[h] += 1
-                    del window[h]
-                    nh -= 1
-                    winsert(0, k)
-                else:
-                    evict_hist[clamp] += 1
-                    winsert(0, k)
-                    if len(window) > limit:
-                        del window[limit:]
-            if p > 0:
-                for s in range(L):
-                    v = invs[s]
-                    if v is not None and v < p:
-                        invs[s] = p
-            invs[slot] = 0
-        elif op == _P_FIRST:
-            write_hist[clamp] += 1
-            if nh:
-                h = windex(HOLE)
-                evict_hist[h] += 1
-                del window[h]
-                nh -= 1
-            elif frozen:
-                evict_hist[clamp] += 1
-            else:
-                evict_hist[total if total < clamp else clamp] += 1
-                total += 1
-                if total > limit:
-                    frozen = True
-            winsert(0, k)
-            if len(window) > limit:
-                del window[limit:]
-            invs = [None] * L
-            invs[slot] = 0
-            inv[k] = invs
-        else:  # END (FREE raises at L > 1 during compilation)
-            for dk in elget(k, ()):
-                try:
-                    d = windex(dk)
-                    window[d] = HOLE
-                    nh += 1
-                except ValueError:
-                    d = clamp
-                for v in inv[dk]:
-                    if v is None:
-                        continue
-                    M = v if v > d else d
-                    if M > 0:
-                        live_hist[M if M < clamp else clamp] += 1
-                inv[dk] = None
-
-    # close the spans of lines still resident at trace end
-    if nk:
-        at = {}
-        for i, k in enumerate(window):
-            if k != HOLE:
-                at[k] = i
-        get = at.get
-        for k in range(nk):
-            invs = inv[k]
-            if invs is None:
-                continue
-            d = get(k, clamp)
-            for v in invs:
-                if v is None:
-                    continue
-                M = v if v > d else d
-                if M > 0:
-                    live_hist[M if M < clamp else clamp] += 1
-
-
-def _walk_flat_tables(program, end_lists, nk, hists, clamp, caps, per,
-                      kinst):
-    """:func:`_walk_flat` plus the per-capacity residency integrals.
-
-    The window *is* the top of the recency stack, so the eviction
-    victim of file ``C`` on a depth-``eb`` insertion is simply
+    The window is the top of the recency stack, so the eviction victim
+    of file ``C`` on a depth-``eb`` insertion is simply
     ``window[C - 1]`` read against the pre-access window (always a
-    real line: ``C <= eb`` bounds it above the topmost hole) — the
-    Fenwick order-statistic select of the scalar walk becomes one
-    list index.  At ``line_size == 1`` every victim carries exactly
-    one live register, and a line re-enters (and its register
-    revalidates in) every file with ``C <= depth``.
+    real line: ``C <= eb`` bounds it above the topmost hole).  Every
+    victim carries exactly one live register, and a line re-enters
+    (and its register revalidates in) every file with ``C <= depth``,
+    which feeds the per-capacity residency integrals.
     """
     read_hist, write_hist, fill_hist, evict_hist, live_hist = hists
     ev_type, ev_key, _ = program
@@ -797,14 +503,18 @@ def _walk_flat_tables(program, end_lists, nk, hists, clamp, caps, per,
 
 def _walk_lines_tables(program, end_lists, nk, L, hists, clamp, caps,
                        per, kinst):
-    """:func:`_walk_lines` plus the per-capacity residency integrals.
+    """Windowed-stack walk for ``line_size > 1``.
 
-    Victims come straight off the window like in
-    :func:`_walk_flat_tables`; their live-register count in file ``C``
-    is the number of slots with validity threshold below ``C``, read
-    from the same threshold table the curve accounting keeps.  A slot
-    revalidates in every file with ``C <= max(threshold, depth)``
-    while the line itself re-enters files with ``C <= depth``.
+    Same stack mechanics as :func:`_walk_flat_tables` plus per-line
+    slot validity thresholds: a slot is valid in file ``C`` iff
+    ``C > max(threshold, line depth)``, thresholds are bumped to the
+    line's depth on every non-zero-depth touch and reset to 0 for the
+    touched slot.  Thresholds are clamped like every other depth —
+    exact for all clamped outputs.  Victims come straight off the
+    window; their live-register count in file ``C`` is the number of
+    slots with threshold below ``C``.  A slot revalidates in every
+    file with ``C <= max(threshold, depth)`` while the line itself
+    re-enters files with ``C <= depth``.
     """
     read_hist, write_hist, fill_hist, evict_hist, live_hist = hists
     ev_type, ev_key, ev_slot = program
@@ -984,24 +694,22 @@ def _walk_lines_tables(program, end_lists, nk, L, hists, clamp, caps,
                     live_hist[M if M < clamp else clamp] += 1
 
 
-def lru_scan(trace, capacities, word_bytes, line_size, tables=False):
-    """Windowed-stack LRU pass; same contract as ``oracle._scan_lru``:
-    ``(shared, percap)``, or ``None`` for scalar fallback.
-    Byte-identical outputs by construction.  With ``tables`` the
-    per-capacity entries additionally carry the occupancy/residency
-    integrals and tick maxima (and ``shared`` the context lifecycle
-    counters) needed for full snapshot tables.
+def lru_scan(trace, capacities, word_bytes, line_size):
+    """Windowed-stack LRU pass over every capacity in one walk.
+
+    Returns ``(shared, percap)``: trace-wide counters and a dict
+    ``{capacity: field dict}`` of every per-capacity statistic
+    (traffic, occupancy/residency integrals, tick maxima).  Raises
+    :class:`~repro.trace.oracle.OracleUnsupported` when the trace is
+    out of reach (see the module docstring).
     """
     if _np is None:
-        return None
-    from repro.trace.oracle import _check_trace, _suffix_sums
+        _unsupported("the LRU scan needs NumPy")
+    from repro.trace.oracle import _PerCap, _check_trace, _suffix_sums
 
     _, caps = _check_trace(trace, capacities)
-    compiled = _compile(trace, line_size, tables=tables)
-    if compiled is None:
-        return None
-    (program, end_lists, n_reads, n_writes, nk,
-     p0_reads, p0_writes, extras) = compiled
+    (program, end_lists, n_reads, n_writes, nk, p0_reads, p0_writes,
+     key_inst, n_inst, n_end, n_switch) = _compile(trace, line_size)
 
     L = line_size
     cmax = caps[-1]
@@ -1015,42 +723,32 @@ def lru_scan(trace, capacities, word_bytes, line_size, tables=False):
     write_hist[0] = p0_writes
     evict_hist[0] = p0_reads + p0_writes
     hists = (read_hist, write_hist, fill_hist, evict_hist, live_hist)
-    per = None
-    if tables:
-        from repro.trace.oracle import _PerCap
-
-        key_inst, n_inst, n_begin, n_end, n_switch = extras
-        per = _PerCap(caps)
-        # BEGIN only seeds the per-instance residency vector, so all
-        # instances can be registered up front
-        K = len(caps)
-        per.inst_lines = {i: [0] * K for i in range(n_inst)}
-        if L == 1:
-            _walk_flat_tables(program, end_lists, nk, hists, clamp,
-                              caps, per, key_inst)
-        else:
-            _walk_lines_tables(program, end_lists, nk, L, hists,
-                               clamp, caps, per, key_inst)
-        per.finalize()
-    elif L == 1:
-        _walk_flat(program, end_lists, nk, hists, clamp)
+    per = _PerCap(caps)
+    # BEGIN only seeds the per-instance residency vector, so all
+    # instances can be registered up front
+    K = len(caps)
+    per.inst_lines = {i: [0] * K for i in range(n_inst)}
+    if L == 1:
+        _walk_flat_tables(program, end_lists, nk, hists, clamp, caps, per,
+                          key_inst)
     else:
-        _walk_lines(program, end_lists, nk, L, hists, clamp)
+        _walk_lines_tables(program, end_lists, nk, L, hists, clamp, caps,
+                           per, key_inst)
+    per.finalize()
 
     rm = _suffix_sums(read_hist)
     wm = _suffix_sums(write_hist)
     fills = _suffix_sums(fill_hist)
     evs = _suffix_sums(evict_hist)
     lvs = _suffix_sums(live_hist)
-    shared = {"reads": n_reads, "writes": n_writes}
-    if per is not None:
-        shared["instructions"] = per.gt
-        shared["contexts_created"] = n_begin
-        shared["contexts_ended"] = n_end
-        shared["context_switches"] = n_switch
+    shared = {
+        "reads": n_reads, "writes": n_writes, "instructions": per.gt,
+        "contexts_created": n_inst, "contexts_ended": n_end,
+        "context_switches": n_switch,
+    }
     percap = {}
     for ci, cap in enumerate(caps):
-        entry = {
+        percap[cap] = {
             "read_misses": rm[cap], "write_misses": wm[cap],
             "lines_reloaded": fills[cap], "lines_spilled": evs[cap],
             "registers_reloaded": rm[cap],
@@ -1063,12 +761,10 @@ def lru_scan(trace, capacities, word_bytes, line_size, tables=False):
             "wire_bytes_reloaded": rm[cap] * word_bytes,
             "raw_bytes_spilled": lvs[cap] * word_bytes,
             "wire_bytes_spilled": lvs[cap] * word_bytes,
+            "switch_misses": 0,
+            "occupancy_weighted": per.occ[ci],
+            "resident_contexts_weighted": per.rcw[ci],
+            "max_active_registers": per.max_active[ci],
+            "max_resident_contexts": per.max_rc[ci],
         }
-        if per is not None:
-            entry["switch_misses"] = 0
-            entry["occupancy_weighted"] = per.occ[ci]
-            entry["resident_contexts_weighted"] = per.rcw[ci]
-            entry["max_active_registers"] = per.max_active[ci]
-            entry["max_resident_contexts"] = per.max_rc[ci]
-        percap[cap] = entry
     return shared, percap

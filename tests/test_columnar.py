@@ -1,16 +1,18 @@
-"""Columnar synthesis is byte-identical to scalar replay — state too.
+"""Columnar synthesis is byte-identical to scalar replay, and sealed.
 
-The columnar engine may only differ from the event loop in speed:
-inside the exactness boundary it must leave the *same statistics and
-the same complete mutable state* (free-list order, policy order, CAM,
-cid interning, ctable, current context) as ``replay(trace, model,
-verify=False)``; outside the boundary it must visibly fall back.
+Synthesis may only differ from the event loop in speed: inside the
+exactness boundary it must leave the *same statistics* as
+``replay(trace, model, verify=False)``, and because it never builds the
+model's internal state, the served model must refuse every further
+access instead of reading stale state.  Outside the boundary it must
+fall back to the event loop.
 """
 
 import pytest
 
-from repro.evalx.common import make_nsf, run_workload
-from repro.trace import cache as trace_cache, columnar
+from repro.errors import SealedModelError
+from repro.evalx.common import capacity_plan, make_nsf, run_workload
+from repro.trace import cache as trace_cache, columnar, oracle
 from repro.trace.events import (
     OP_BEGIN,
     OP_END,
@@ -26,6 +28,34 @@ pytestmark = pytest.mark.skipif(
     not columnar.numpy_available(),
     reason="columnar synthesis needs the numpy perf extra",
 )
+
+
+#: one call per sealed method, with arguments a live model would accept
+SEALED_CALLS = (
+    ("read", (0, 1)),
+    ("write", (0, 5, 1)),
+    ("switch_to", (1,)),
+    ("begin_context", ()),
+    ("end_context", (1,)),
+    ("free_register", (0, 1)),
+    ("capture", ()),
+    ("restore", ({},)),
+)
+
+
+def assert_sealed(model):
+    """Every access to a served model raises, and the refused calls
+    leave its statistics and word counters exactly as they were."""
+    assert {name for name, _ in SEALED_CALLS} == set(columnar.SEALED_METHODS)
+    stats = model.stats.snapshot()
+    words = (model.backing.words_stored, model.backing.words_loaded)
+    for name, args in SEALED_CALLS:
+        with pytest.raises(SealedModelError):
+            getattr(model, name)(*args)
+    assert model.stats.snapshot() == stats, \
+        "a sealed model's statistics changed after a refused access"
+    assert (model.backing.words_stored, model.backing.words_loaded) \
+        == words
 
 
 @pytest.fixture(scope="module")
@@ -59,10 +89,34 @@ def test_analysis_covers_recorded_workloads(recorded):
 def test_synthesis_equals_scalar_replay(recorded, policy):
     workload, trace = recorded
     scalar, fast = _pair(workload, trace, policy=policy)
-    assert columnar.apply_analysis(columnar.analyze(trace),
-                                   make_nsf(workload, policy=policy))
+    served = make_nsf(workload, policy=policy)
+    assert columnar.apply_analysis(columnar.analyze(trace), served)
     assert fast.stats.snapshot() == scalar.stats.snapshot()
-    assert fast.capture() == scalar.capture()
+    assert served.stats.snapshot() == scalar.stats.snapshot()
+    assert_sealed(fast)
+    assert_sealed(served)
+    # a served model is no longer pristine: serving it twice refuses
+    assert not columnar.apply_analysis(columnar.analyze(trace), served)
+
+
+def test_apply_table_seals_served_models(recorded):
+    from repro.core import SegmentedRegisterFile
+
+    workload, trace = recorded
+    ctx = trace.context_size
+    nsf_table = oracle.capacity_tables(trace, [2, 4], line_size=2)[4]
+    seg_table = oracle.segmented_tables(trace, [1, 2])[2]
+    for table, build in (
+            (nsf_table, lambda: make_nsf(workload, num_registers=8,
+                                         line_size=2)),
+            (seg_table, lambda: SegmentedRegisterFile(
+                num_registers=2 * ctx, context_size=ctx))):
+        event = replay(trace, build(), verify=False)
+        served = oracle.apply_table(table, build())
+        assert served.stats.snapshot() == event.stats.snapshot()
+        assert (served.backing.words_stored, served.backing.words_loaded) \
+            == (event.backing.words_stored, event.backing.words_loaded)
+        assert_sealed(served)
 
 
 def test_peak_boundary_is_exact(recorded):
@@ -76,7 +130,7 @@ def test_peak_boundary_is_exact(recorded):
     assert not columnar.apply_analysis(
         columnar.analyze(trace),
         make_nsf(workload, num_registers=peak - 1))
-    # and the engine silently falls back to the exact loop
+    # and the engine falls back to the exact loop, leaving a live model
     scalar, fast = _pair(workload, trace, num_registers=peak - 1)
     assert fast.stats.snapshot() == scalar.stats.snapshot()
     assert fast.capture() == scalar.capture()
@@ -148,7 +202,7 @@ def test_cid_reuse_is_synthesized_exactly():
     replay(trace, scalar, verify=False)
     columnar.replay_columnar(trace, fast)
     assert fast.stats.snapshot() == scalar.stats.snapshot()
-    assert fast.capture() == scalar.capture()
+    assert_sealed(fast)
 
 
 def test_missing_numpy_degrades_to_scalar(recorded, monkeypatch):
@@ -163,13 +217,17 @@ def test_missing_numpy_degrades_to_scalar(recorded, monkeypatch):
 
 
 def test_selected_engine_parsing(monkeypatch):
+    assert columnar.ENGINES == ("event", "oracle")
     monkeypatch.delenv(columnar.ENV_ENGINE, raising=False)
     assert columnar.selected_engine() == "event"
-    monkeypatch.setenv(columnar.ENV_ENGINE, "Columnar ")
-    assert columnar.selected_engine() == "columnar"
+    monkeypatch.setenv(columnar.ENV_ENGINE, "Oracle ")
+    assert columnar.selected_engine() == "oracle"
+    # the retired engine name is no longer recognized: default
+    monkeypatch.setenv(columnar.ENV_ENGINE, "columnar")
+    assert columnar.selected_engine() == "event"
+    assert columnar.selected_engine(default="oracle") == "oracle"
     monkeypatch.setenv(columnar.ENV_ENGINE, "oracel")  # typo: default
     assert columnar.selected_engine() == "event"
-    assert columnar.selected_engine(default="columnar") == "columnar"
 
 
 @pytest.mark.parametrize("engine", ["columnar", "oracle"])
@@ -186,7 +244,22 @@ def test_run_workload_honors_engine_env(tmp_path, monkeypatch, engine):
     monkeypatch.setenv(columnar.ENV_ENGINE, engine)
     fast_model = run_workload(workload, make_nsf(workload), scale=0.1)
     assert fast_model.stats.snapshot() == event_model.stats.snapshot()
-    assert fast_model.capture() == event_model.capture()
+    if engine == "columnar":
+        # the retired name selects event replay: a live, exact model
+        assert fast_model.capture() == event_model.capture()
+        return
+    assert_sealed(fast_model)
+    # below peak, inside a capacity plan: served from the oracle tables
+    monkeypatch.delenv(columnar.ENV_ENGINE)
+    small = run_workload(workload, make_nsf(workload, num_registers=6),
+                         scale=0.1)
+    monkeypatch.setenv(columnar.ENV_ENGINE, engine)
+    with capacity_plan([6, 12]):
+        served = run_workload(workload,
+                              make_nsf(workload, num_registers=6),
+                              scale=0.1)
+    assert served.stats.snapshot() == small.stats.snapshot()
+    assert_sealed(served)
 
 
 def test_dispatch_table_cached_per_model(recorded):

@@ -14,6 +14,10 @@ Three rings of evidence:
 * **Random traces.** Hypothesis generates arbitrary BEGIN / END /
   read / write interleavings and the curves must match replay at every
   tiny capacity, plus hold the Mattson monotonicity invariant.
+
+The LRU scan is the NumPy kernel in :mod:`repro.trace.vector`; without
+NumPy it refuses every trace (callers replay event by event), so the
+LRU checks skip and only the pure-Python FIFO and segmented scans run.
 """
 
 import pytest
@@ -32,6 +36,14 @@ from repro.trace.events import (
 )
 from repro.trace.recorder import TracingRegisterFile
 from repro.trace.replay import replay, sweep
+
+needs_numpy = pytest.mark.skipif(
+    not columnar.numpy_available(),
+    reason="the LRU scan needs the numpy perf extra",
+)
+
+#: the policies whose scan runs here (LRU needs NumPy)
+POLICIES = ("lru", "fifo") if columnar.numpy_available() else ("fifo",)
 
 #: capacity-dependent stat fields the oracle predicts exactly
 CURVE_FIELDS = (
@@ -83,6 +95,7 @@ def _event_model(trace, capacity, **kw):
     return model
 
 
+@needs_numpy
 def test_curves_match_event_replay_on_golden_workloads(recorded):
     _, trace = recorded
     grid = _capacity_grid(trace)
@@ -112,7 +125,7 @@ def test_curves_match_event_replay_across_line_sizes_and_policies(
     base = _capacity_grid(trace)
     for line_size in (1, 2, 4):
         grid = sorted({max(1, c // line_size) for c in base} | {1, 3})
-        for policy in ("lru", "fifo"):
+        for policy in POLICIES:
             curves = oracle.capacity_curves(
                 trace, grid, line_size=line_size, policy=policy)
             for cap in grid:
@@ -136,7 +149,7 @@ def test_tables_match_event_snapshots_on_golden_workloads(recorded):
     _, trace = recorded
     ctx = trace.context_size
     grid = sorted({max(1, c // 2) for c in _capacity_grid(trace)})
-    for policy in ("lru", "fifo"):
+    for policy in POLICIES:
         tables = oracle.capacity_tables(trace, grid, line_size=2,
                                         policy=policy)
         for cap in grid:
@@ -185,28 +198,42 @@ def test_segmented_tables_match_event_replay(recorded):
                     model.backing.words_loaded
 
 
-def test_vector_kernel_matches_scalar_walk(recorded):
-    """The NumPy windowed-stack kernel is byte-identical to the
-    pure-stdlib Fenwick walk (the no-NumPy fallback)."""
+def _assert_scan_matches_event_replay(trace, grid, line_size):
+    """One ``vector.lru_scan`` over ``grid`` (capacities in lines)
+    equals an event-exact replay at every capacity, field by field."""
     from repro.trace import vector
 
-    if not columnar.numpy_available():
-        pytest.skip("NumPy unavailable: only the scalar walk runs")
+    shared, percap = vector.lru_scan(trace, grid, 4, line_size)
+    for cap in grid:
+        model = NamedStateRegisterFile(
+            num_registers=cap * line_size,
+            context_size=trace.context_size, line_size=line_size)
+        replay(trace, model, verify=False)
+        stats = model.stats
+        for field in ("reads", "writes", "instructions",
+                      "contexts_created", "contexts_ended",
+                      "context_switches"):
+            assert shared[field] == getattr(stats, field), (
+                f"L={line_size} cap={cap}: {field}")
+        for field, value in percap[cap].items():
+            if field in ("words_stored", "words_loaded"):
+                want = getattr(model.backing, field)
+            else:
+                want = getattr(stats, field)
+            assert value == want, f"L={line_size} cap={cap}: {field}"
+
+
+@needs_numpy
+def test_vector_kernel_matches_event_replay(recorded):
+    """The NumPy windowed-stack kernel — the only LRU scan — equals
+    event-exact replay at every line size on every golden trace."""
     _, trace = recorded
     grid = _capacity_grid(trace)
     for line_size in (1, 2, 4):
-        fast = vector.lru_scan(trace, grid, 4, line_size)
-        assert fast is not None
-        shared, percap = oracle._scan_lru(trace, grid, 4, line_size,
-                                          tables=False)
-        slow = {cap: {k: v for k, v in entry.items()
-                      if k != "switch_misses"}
-                for cap, entry in percap.items()}
-        assert fast[0]["reads"] == shared["reads"]
-        assert fast[0]["writes"] == shared["writes"]
-        assert fast[1] == slow
+        _assert_scan_matches_event_replay(trace, grid, line_size)
 
 
+@needs_numpy
 def test_curves_cost_one_pass_regardless_of_grid(recorded):
     _, trace = recorded
     few = oracle.capacity_curves(trace, [8, 40])
@@ -240,30 +267,58 @@ def test_oracle_sweep_matches_event_sweep(recorded):
 
 
 def test_unsupported_traces_raise():
+    for policy in POLICIES:
+        trace = Trace(context_size=4)
+        trace.append(OP_BEGIN, 1)
+        trace.append(OP_WRITE, 1, 0, 7)
+        trace.append(OP_READ, 1, 1, 0)  # cold read: demand reloads
+        with pytest.raises(oracle.OracleUnsupported):
+            oracle.capacity_curves(trace, [4], policy=policy)
+
+        wide = Trace(context_size=4)
+        wide.append(OP_BEGIN, 1)
+        wide.append_wide(OP_WRITE, 1, 0, 1 << 80)
+        with pytest.raises(oracle.OracleUnsupported):
+            oracle.capacity_curves(wide, [4], policy=policy)
+
+        with pytest.raises(oracle.OracleUnsupported):
+            oracle.capacity_curves(Trace(context_size=4), [],
+                                   policy=policy)
+
+        freed = Trace(context_size=4)
+        freed.append(OP_BEGIN, 1)
+        freed.append(OP_WRITE, 1, 0, 7)
+        freed.append(OP_FREE, 1, 0)  # line-granular FREE diverges
+        with pytest.raises(oracle.OracleUnsupported):
+            oracle.capacity_curves(freed, [4], line_size=2,
+                                   policy=policy)
+        # ... but at line_size 1 a FREE is an exact deletion
+        assert oracle.capacity_curves(
+            freed, [4], policy=policy)[4]["write_misses"] == 1
+
+
+def test_lru_scan_without_numpy_refuses(monkeypatch):
+    """No NumPy, no LRU scan: the refusal routes callers to event
+    replay, and oracle_sweep stays exact through it."""
+    from repro.trace import vector
+
+    monkeypatch.setattr(vector, "_np", None)
     trace = Trace(context_size=4)
     trace.append(OP_BEGIN, 1)
     trace.append(OP_WRITE, 1, 0, 7)
-    trace.append(OP_READ, 1, 1, 0)  # cold read: demand-reload regime
-    with pytest.raises(oracle.OracleUnsupported):
-        oracle.capacity_curves(trace, [4])
+    trace.append(OP_READ, 1, 0, 0)
+    trace.append(OP_END, 1)
+    with pytest.raises(oracle.OracleUnsupported, match="NumPy"):
+        oracle.capacity_tables(trace, [1, 2])
 
-    wide = Trace(context_size=4)
-    wide.append(OP_BEGIN, 1)
-    wide.append_wide(OP_WRITE, 1, 0, 1 << 80)
-    with pytest.raises(oracle.OracleUnsupported):
-        oracle.capacity_curves(wide, [4])
+    def factory(num_registers):
+        return NamedStateRegisterFile(num_registers=num_registers,
+                                      context_size=4, line_size=1)
 
-    with pytest.raises(oracle.OracleUnsupported):
-        oracle.capacity_curves(Trace(context_size=4), [])
-
-    freed = Trace(context_size=4)
-    freed.append(OP_BEGIN, 1)
-    freed.append(OP_WRITE, 1, 0, 7)
-    freed.append(OP_FREE, 1, 0)  # line-granular FREE diverges per file
-    with pytest.raises(oracle.OracleUnsupported):
-        oracle.capacity_curves(freed, [4], line_size=2)
-    # ... but at line_size 1 a FREE is an exact deletion
-    assert oracle.capacity_curves(freed, [4])[4]["write_misses"] == 1
+    configurations = [{"num_registers": 1}]
+    expected = sweep(trace, factory, configurations, verify=False)
+    got = oracle.oracle_sweep(trace, factory, configurations)
+    assert got[0][1].snapshot() == expected[0][1].snapshot()
 
 
 # -- hypothesis: random traces -------------------------------------------
@@ -322,14 +377,34 @@ def random_traces(draw):
 @given(random_traces())
 def test_curves_match_replay_on_random_traces(trace):
     capacities = list(range(1, 10))
-    curves = oracle.capacity_curves(trace, capacities)
-    for capacity in capacities:
-        stats = _event_model(trace, capacity).stats
-        for field in CURVE_FIELDS:
-            assert curves[capacity][field] == getattr(stats, field), (
-                f"capacity {capacity}: {field}")
+    for policy in POLICIES:
+        curves = oracle.capacity_curves(trace, capacities, policy=policy)
+        for capacity in capacities:
+            stats = _event_model(trace, capacity, policy=policy).stats
+            for field in CURVE_FIELDS:
+                assert curves[capacity][field] == \
+                    getattr(stats, field), (
+                        f"{policy} capacity {capacity}: {field}")
 
 
+@needs_numpy
+@settings(max_examples=80, deadline=None)
+@given(random_traces())
+def test_vector_kernel_matches_event_replay_on_random_traces(trace):
+    """FREE/END churn at every line size: the kernel equals event
+    replay wherever it accepts the trace, and refuses FREE only where
+    partial lines make the shared stack diverge (``line_size > 1``)."""
+    has_free = any(event[0] == "F" for event in trace)
+    for line_size in (1, 2, 4):
+        if has_free and line_size > 1:
+            with pytest.raises(oracle.OracleUnsupported):
+                oracle.capacity_tables(trace, [1], line_size=line_size)
+            continue
+        _assert_scan_matches_event_replay(trace, list(range(1, 8)),
+                                          line_size)
+
+
+@needs_numpy
 @settings(max_examples=80, deadline=None)
 @given(random_traces())
 def test_curves_are_monotone_in_capacity(trace):

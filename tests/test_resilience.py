@@ -4,10 +4,11 @@ Covers the protection wrapper rung by rung (correct, reread, reload,
 trap, retire), the graceful-degradation gap between NSF line retirement
 and segmented frame retirement, machine-check pricing, the scheduler
 watchdog/wait-graph, bounded backing-store retry, and the campaign's
-zero-silent-corruption contract (property-based).
+zero-silent-corruption contract (property-based) and runaway watchdog.
 """
 
 import dataclasses
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ from repro.core import (
     secded_check,
     secded_encode,
 )
-from repro.core.faults import FAULT_KINDS, FaultyRegisterFile
+from repro.core.faults import FAULT_KINDS, FaultyRegisterFile, RunawayError
 from repro.cpu.traps import MachineCheckTrapUnit
 from repro.errors import (
     BackingStoreFaultError,
@@ -30,7 +31,12 @@ from repro.errors import (
     DeadlockError,
     MachineCheckError,
 )
-from repro.evalx.resilience import run_campaign, run_single
+from repro.evalx.resilience import (
+    fault_free_operations,
+    make_campaign_model,
+    run_campaign,
+    run_single,
+)
 from repro.runtime.scheduler import ThreadMachine
 from repro.workloads import get_workload
 
@@ -485,6 +491,34 @@ class TestCampaign:
         first = run_campaign(scale=0.3, seed=7)
         second = run_campaign(scale=0.3, seed=7)
         assert first == second
+
+    @pytest.mark.parametrize("model_kind", ["nsf", "segmented"])
+    def test_runaway_run_is_detected_by_the_watchdog(self, model_kind):
+        # with protection off this bit flip corrupts GateSim's range
+        # bound, and the unbounded run took over a minute
+        start = time.perf_counter()
+        record = run_single("flip_read_bit", model_kind, "off", 1026,
+                            scale=0.125, seed=25)
+        assert time.perf_counter() - start < 1.0
+        assert record["outcome"] == "detected"
+        assert record["injected"]
+
+    def test_watchdog_budget_is_a_multiple_of_the_fault_free_run(self):
+        workload = get_workload("GateSim")
+        budget = 3 * fault_free_operations("nsf", 0.125, 25)
+        within = FaultyRegisterFile(make_campaign_model("nsf"),
+                                    "drop_write", trigger_at=float("inf"),
+                                    max_operations=budget)
+        workload.run(within, scale=0.125, seed=25, check=False,
+                     verify_values=False)
+        assert within.operations == budget // 3
+        runaway = FaultyRegisterFile(make_campaign_model("nsf"),
+                                     "flip_read_bit", trigger_at=1026,
+                                     max_operations=budget)
+        with pytest.raises(RunawayError):
+            workload.run(runaway, scale=0.125, seed=25, check=False,
+                         verify_values=False)
+        assert runaway.operations > budget
 
 
 # -- wrapper drop-in satellites ----------------------------------------------
