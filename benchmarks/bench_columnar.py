@@ -42,6 +42,7 @@ leaves every other benchmark's key untouched.
 import argparse
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -50,8 +51,7 @@ if __package__ in (None, ""):
 
 from repro.core import NamedStateRegisterFile
 from repro.evalx.common import make_nsf
-from repro.trace import TracingRegisterFile, replay
-from repro.trace import columnar, oracle
+from repro.trace import cache as trace_cache, columnar, oracle, replay
 from repro.workloads import get_workload
 from repro.workloads.compiled import CompiledSuite
 
@@ -83,10 +83,12 @@ def _best_times(fns, repeats=REPEATS):
 
 
 def _record(workload):
-    tracer = TracingRegisterFile(make_nsf(workload))
+    """``workload``'s trace, served by a private trace cache so the
+    analysis is memoized under the trace's content address."""
     scale = 1.0 if workload.name == "CompiledSuite" else 0.35
-    workload.run(tracer, scale=scale, seed=SEED)
-    return tracer.trace
+    with tempfile.TemporaryDirectory() as directory:
+        return trace_cache.load_or_record(workload, scale=scale,
+                                          seed=SEED, directory=directory)
 
 
 def _get_workload(name):
@@ -101,7 +103,7 @@ def _replay_case(workload_name):
         replay(trace, make_nsf(workload), verify=False)
 
     def cold():
-        columnar._ANALYSES.clear()
+        trace_cache.clear_derived()
         columnar.replay_columnar(trace, make_nsf(workload))
 
     def warm():
@@ -143,11 +145,11 @@ def run_oracle_sweep():
             num_registers=num_registers, context_size=ctx, line_size=1)
 
     def single_scan():
-        columnar._ANALYSES.clear()
+        trace_cache.clear_derived()
         columnar.replay_columnar(trace, factory(SWEEP_CAPACITIES[0]))
 
     def oracle_pass():
-        columnar._ANALYSES.clear()
+        trace_cache.clear_derived()
         oracle.oracle_sweep(trace, factory, configurations)
 
     def event_pass():

@@ -36,6 +36,7 @@ every other benchmark's key untouched.
 import argparse
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -43,9 +44,7 @@ if __package__ in (None, ""):
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core import NamedStateRegisterFile, SegmentedRegisterFile
-from repro.evalx.common import make_nsf
-from repro.trace import TracingRegisterFile
-from repro.trace import columnar, oracle
+from repro.trace import cache as trace_cache, columnar, oracle
 from repro.workloads.compiled import CompiledSuite
 
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_baseline.json"
@@ -78,10 +77,11 @@ def _best_times(fns, repeats=REPEATS):
 
 
 def _record():
-    workload = CompiledSuite()
-    tracer = TracingRegisterFile(make_nsf(workload))
-    workload.run(tracer, scale=1.0, seed=SEED)
-    return tracer.trace
+    """The compiled trace, served by a private trace cache so the
+    oracle memoizes its tables under the trace's content address."""
+    with tempfile.TemporaryDirectory() as directory:
+        return trace_cache.load_or_record(CompiledSuite(), scale=1.0,
+                                          seed=SEED, directory=directory)
 
 
 def _grid(ctx):
@@ -123,8 +123,7 @@ def run_grid(trace):
 
     # correctness first: every oracle-served cell must be
     # snapshot-identical to the per-cell replay it replaces
-    oracle._TABLE_MEMO.clear()
-    columnar._ANALYSES.clear()
+    trace_cache.clear_derived()
     for cell in cells:
         served = _build(cell, ctx)
         assert oracle.serve_from_tables(trace, served, budgets), \
@@ -134,12 +133,12 @@ def run_grid(trace):
             f"oracle snapshot deviates from replay: {cell}"
 
     def oracle_pass():
-        oracle._TABLE_MEMO.clear()
+        trace_cache.clear_derived()
         for cell in cells:
             oracle.serve_from_tables(trace, _build(cell, ctx), budgets)
 
     def columnar_pass():
-        columnar._ANALYSES.clear()
+        trace_cache.clear_derived()
         for cell in cells:
             columnar.replay_columnar(trace, _build(cell, ctx))
 

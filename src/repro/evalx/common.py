@@ -67,15 +67,18 @@ _PLAN = []
 def capacity_plan(register_budgets):
     """Announce the register budgets the enclosed sweep will visit.
 
-    Under ``--engine oracle`` every in-regime cell inside the block is
-    served from the design-space tables of
-    :mod:`repro.trace.oracle`: one stack-distance scan per (trace,
+    Under ``--engine oracle`` every in-regime cell inside the block
+    that replays a shared trace is served from the design-space tables
+    of :mod:`repro.trace.oracle`: one stack-distance scan per (trace,
     design family) covers the *whole* announced grid, so each
     additional capacity point costs an O(1) table application instead
-    of a replay.  Cells outside the oracle's exactness boundary
-    (NMRU, line-scope reloads, wide-value traces) transparently fall
-    back, and the other engines ignore the plan entirely — results
-    are byte-identical across engines by construction.
+    of a replay.  (A per-model trace of a ``trace_stable = False``
+    workload is valid for its one configuration and is tabled at that
+    capacity alone, plan or no plan.)  Cells outside the oracle's
+    exactness boundary (NMRU, line-scope reloads, wide-value traces)
+    transparently fall back, and the other engines ignore the plan
+    entirely — results are byte-identical across engines by
+    construction.
     """
     _PLAN.append(tuple(int(b) for b in register_budgets))
     try:
@@ -84,19 +87,21 @@ def capacity_plan(register_budgets):
         _PLAN.pop()
 
 
-def _replay(trace, model):
+def _replay(trace, model, budgets):
     """Replay through the engine ``REPRO_REPLAY_ENGINE`` selects.
 
     ``event`` (the default) is the scalar packed loop.  ``oracle``
-    serves the cell from the shared design-space tables inside a
-    :func:`capacity_plan` block, else synthesizes the statistics from
-    the shared NumPy whole-trace analysis when the (trace, model) pair
-    never evicts, and falls back to the scalar loop otherwise.  Both
-    engines leave byte-identical statistics by construction; a model
-    the oracle served is sealed (stats only, any access raises).
+    serves the cell from the trace's design-space tables over the
+    register ``budgets`` grid unless that is ``None``, else
+    synthesizes the statistics from the shared NumPy whole-trace
+    analysis when the (trace, model) pair never evicts, and falls back
+    to the scalar loop otherwise.  Both engines leave byte-identical
+    statistics by construction; a model the oracle served is sealed
+    (stats only, any access raises).
     """
     if selected_engine() == "oracle":
-        if _PLAN and serve_from_tables(trace, model, _PLAN[-1]):
+        if budgets is not None and serve_from_tables(trace, model,
+                                                     budgets):
             return model
         return replay_columnar(trace, model)
     return replay(trace, model, verify=False)
@@ -113,7 +118,9 @@ def run_workload(workload, model, scale=1.0, seed=1):
     Workloads whose stream is timing-sensitive (``trace_stable`` is
     False) get memoized execution instead of a shared trace: the cold
     run executes directly through a recorder, and only models with the
-    identical configuration replay the cached stream.
+    identical configuration replay the cached stream.  Under
+    ``oracle`` such a trace is tabled at the model's own capacity
+    only, plan or no plan: it is valid for that one configuration.
 
     Degradation ladder: warm cache -> quarantine + re-record (inside
     the cache) -> on persistent storage failure, **direct execution**
@@ -129,12 +136,12 @@ def run_workload(workload, model, scale=1.0, seed=1):
         if workload.trace_stable:
             trace = trace_cache.load_or_record(workload, scale=scale,
                                                seed=seed)
-            _replay(trace, model)
+            _replay(trace, model, _PLAN[-1] if _PLAN else None)
             return model
         trace = trace_cache.load_for_model(workload, model, scale=scale,
                                            seed=seed)
         if trace is not None:
-            _replay(trace, model)
+            _replay(trace, model, ())
         else:
             trace_cache.record_through(workload, model, scale=scale,
                                        seed=seed)

@@ -123,10 +123,12 @@ class CacheStats:
 STATS = CacheStats()
 
 #: traces already loaded in this process, keyed by (directory, key);
-#: each entry is ``(trace, stat_sig)`` where ``stat_sig`` is the disk
-#: file's (size, mtime_ns) at memoization time — ``None`` marks a
-#: memory-only entry (publish failed or disabled) with no disk copy to
-#: re-validate against
+#: each entry is ``(trace, stat_sig, derived)`` where ``stat_sig`` is
+#: the disk file's (size, mtime_ns) at memoization time — ``None``
+#: marks a memory-only entry (publish failed or disabled) with no disk
+#: copy to re-validate against — and ``derived`` is the entry's memo
+#: of results computed from the trace (:func:`derived`), dropped with
+#: the entry
 _memo = {}
 
 #: the degradation ladder's process-local rung state
@@ -371,7 +373,7 @@ def _lookup(workload, path):
     memo_key = (str(path.parent), path.name)
     entry = _memo.get(memo_key)
     if entry is not None:
-        trace, sig = entry
+        trace, sig, _ = entry
         if sig is None or sig == _stat_sig(path):
             STATS.hits += 1
             _log("HIT", workload, path)
@@ -386,7 +388,7 @@ def _lookup(workload, path):
         except OSError:
             trace = None
         if trace is not None:
-            _memo[memo_key] = (trace, _stat_sig(path))
+            _memoize(memo_key, trace, _stat_sig(path))
     if trace is not None:
         STATS.hits += 1
         _log("HIT", workload, path)
@@ -394,6 +396,37 @@ def _lookup(workload, path):
     STATS.misses += 1
     _log("MISS", workload, path)
     return None
+
+
+def _memoize(memo_key, trace, sig):
+    """Memoize ``trace`` under its content address, with an empty
+    derived-results memo (any previous entry's is dropped)."""
+    trace.cache_key = memo_key
+    _memo[memo_key] = (trace, sig, {})
+
+
+def derived(trace):
+    """The derived-results memo of a cache-served ``trace``, or ``None``.
+
+    A dict the engines keep results computed from the trace in
+    (columnar analysis, oracle tables), keyed by the trace's content
+    address and owned by its memo entry: whatever drops the entry —
+    stat-signature invalidation, quarantine and re-record,
+    :func:`clear` — drops the derived results with it, so they can
+    never outlive the bytes they were computed from.  ``None`` for a
+    hand-built trace or one whose entry was since replaced: the caller
+    computes without memoizing.
+    """
+    entry = _memo.get(trace.cache_key)
+    if entry is None or entry[0] is not trace:
+        return None
+    return entry[2]
+
+
+def clear_derived():
+    """Empty every derived-results memo; the traces stay memoized."""
+    for _, _, memo in _memo.values():
+        memo.clear()
 
 
 # -- single-flight recording lock --------------------------------------------
@@ -493,11 +526,11 @@ def _publish(workload, path, trace):
             _log("PUBFAIL", workload, path)
         else:
             _log("RECORD", workload, path)
-            _memo[memo_key] = (trace, _stat_sig(path))
+            _memoize(memo_key, trace, _stat_sig(path))
             return
     else:
         _log("NOPUBLISH", workload, path)
-    _memo[memo_key] = (trace, None)
+    _memoize(memo_key, trace, None)
 
 
 def load_or_record(workload, scale=1.0, seed=1, directory=None):

@@ -63,6 +63,7 @@ import os
 from repro.core.backing import BackingStore
 from repro.core.nsf import NamedStateRegisterFile
 from repro.errors import SealedModelError
+from repro.trace import cache as trace_cache
 from repro.trace.events import (
     OP_BEGIN,
     OP_END,
@@ -87,11 +88,6 @@ ENGINES = ("event", "oracle")
 
 #: refuse to allocate dense scatter tables beyond this many keys
 _MAX_KEY_SPACE = 1 << 20
-
-#: in-process memo of analyses, keyed by trace identity (tiny: traces
-#: are large and sweeps replay the same one hundreds of times)
-_ANALYSES = {}
-_MEMO_LIMIT = 4
 
 
 def numpy_available():
@@ -134,21 +130,19 @@ def _column_view(trace):
 def analyze(trace):
     """Columnar analysis of ``trace``; ``None`` when out of regime.
 
-    The result is memoized per trace object: a capacity sweep replays
-    one trace against many models, and the analysis is the expensive
-    (though vectorized) half of synthesis.
+    The result is memoized under a cache-served trace's content
+    address (:func:`repro.trace.cache.derived`): a capacity sweep
+    replays one trace against many models, and the analysis is the
+    expensive (though vectorized) half of synthesis.
     """
     if _np is None or not isinstance(trace, Trace):
         return None
-    key = id(trace)
-    hit = _ANALYSES.get(key)
-    if hit is not None and hit[0] is trace:
-        return hit[1]
-    analysis = _analyze_uncached(trace)
-    if len(_ANALYSES) >= _MEMO_LIMIT:
-        _ANALYSES.pop(next(iter(_ANALYSES)))
-    _ANALYSES[key] = (trace, analysis)
-    return analysis
+    memo = trace_cache.derived(trace)
+    if memo is None:
+        return _analyze_uncached(trace)
+    if "analysis" not in memo:
+        memo["analysis"] = _analyze_uncached(trace)
+    return memo["analysis"]
 
 
 def _analyze_uncached(trace):
@@ -410,6 +404,9 @@ def replay_columnar(trace, model):
             f"model context_size {model.context_size} smaller than the "
             f"trace's {trace.context_size}"
         )
-    if not apply_analysis(analyze(trace), model):
+    # the model check is cheap; the analysis is not worth paying for
+    # a cell certain to fall back
+    if not (supported_model(model)
+            and apply_analysis(analyze(trace), model)):
         _replay_fast(trace, model)
     return model

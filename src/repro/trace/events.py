@@ -144,15 +144,22 @@ def unframe(blob):
 
 
 class Trace:
-    """A recorded register-reference stream, packed four int64s/event."""
+    """A recorded register-reference stream, packed four int64s/event.
 
-    __slots__ = ("_data", "_wide", "_pending", "context_size")
+    ``cache_key`` is the trace cache's content address for a trace it
+    loaded or published (``None`` for a hand-built trace); results
+    derived from the trace are memoized under it
+    (:func:`repro.trace.cache.derived`).
+    """
+
+    __slots__ = ("_data", "_wide", "_pending", "context_size", "cache_key")
 
     def __init__(self, events=None, context_size=32):
         self._data = array("q")
         self._wide = {}
         self._pending = []
         self.context_size = context_size
+        self.cache_key = None
         if events:
             for op, cid, offset, value in events:
                 self.append(op, cid, offset, value)

@@ -84,7 +84,7 @@ from collections import OrderedDict, deque
 
 from repro.core.nsf import NamedStateRegisterFile
 from repro.core.segmented import SegmentedRegisterFile
-from repro.trace import vector
+from repro.trace import cache as trace_cache, vector
 from repro.trace.columnar import (
     analyze,
     apply_analysis,
@@ -889,8 +889,14 @@ def apply_table(patch, model):
 
 # -- shared-table memo (sweep drivers and the evalx plan hook) --------------
 
-_TABLE_MEMO = {}
-_MEMO_LIMIT = 4
+
+def _scan_families(family):
+    """Every family one scan of ``family`` prices: a segmented scan
+    prices both spill modes (:func:`_seg_tables_pair`)."""
+    if family[0] == "seg":
+        return [("seg", mode, family[2], family[3])
+                for mode in ("frame", "live")]
+    return [family]
 
 
 def tables_for_model(trace, model, capacities):
@@ -898,10 +904,18 @@ def tables_for_model(trace, model, capacities):
 
     ``capacities`` is in the model's *register* budget units (the
     numbers experiment modules know); they are converted to the
-    family's capacity units.  Returns ``(table, units)`` or ``None``
-    when the model is out of regime or the scan refuses the trace.
-    The memo is keyed like the columnar analysis memo — per trace
-    identity, holding a strong reference so ids cannot be recycled.
+    family's capacity units, and the model's own capacity is always
+    included.  Returns ``(table, units)`` or ``None`` when the model
+    is out of regime or the scan refuses the trace.
+
+    The tables of a cache-served trace are memoized per design family
+    under the trace's content address
+    (:func:`repro.trace.cache.derived`), so every sweep cell, figure
+    and later sweep over the same trace shares them.  One capacity's
+    row never depends on the rest of the grid, so a cell whose
+    capacity is already tabled costs no scan, and a miss scans only
+    the grid points not yet tabled.  A hand-built trace has no content
+    address: each call scans afresh.
     """
     classified = classify_model(model)
     if classified is None:
@@ -911,44 +925,37 @@ def tables_for_model(trace, model, capacities):
         per_unit = model.line_size
     else:
         per_unit = model.frame_size
-    grid = set()
+    memo = trace_cache.derived(trace)
+    if memo is None:
+        memo = {}
+    key = ("tables", family)
+    table = memo.get(key, {})
+    if table is None:
+        return None  # refused once: the trace always is
+    if units in table:
+        return table, units
+    grid = {units}
     for regs in capacities:
         u = int(regs) // per_unit
-        if u >= 1:
+        if u >= 1 and u not in table:
             grid.add(u)
-    grid.add(units)
-    grid = tuple(sorted(grid))
-    memo_key = id(trace)
-    hit = _TABLE_MEMO.get(memo_key)
-    if hit is not None and hit[0] is trace:
-        family_hit = hit[1].get((family, grid))
-        if family_hit is not None:
-            return family_hit, units
-    else:
-        hit = None
     try:
-        computed = _family_tables(trace, family, grid)
+        computed = _family_tables(trace, family, sorted(grid))
     except OracleUnsupported:
-        computed = None
-    if hit is None:
-        if len(_TABLE_MEMO) >= _MEMO_LIMIT:
-            _TABLE_MEMO.pop(next(iter(_TABLE_MEMO)))
-        hit = (trace, {})
-        _TABLE_MEMO[memo_key] = hit
-    if computed is None:
-        hit[1][(family, grid)] = None
+        for fam in _scan_families(family):
+            memo[("tables", fam)] = None
         return None
-    # one segmented scan yields both spill-mode siblings: memoize all
     for fam, fam_table in computed.items():
-        hit[1][(fam, grid)] = fam_table
-    return computed[family], units
+        memo.setdefault(("tables", fam), {}).update(fam_table)
+    return memo[key], units
 
 
 def serve_from_tables(trace, model, capacities):
     """Serve one replay from the shared design-space tables.
 
     ``capacities`` announces the register budgets the surrounding
-    sweep will visit (so one scan covers them all).  Returns True and
+    sweep will visit (so one scan covers them all); an empty grid
+    tables the model's own capacity only.  Returns True and
     patches ``model.stats`` when the cell is in regime; False leaves
     the model untouched for the caller's fallback engine.
     """
@@ -991,31 +998,22 @@ def oracle_sweep(trace, model_factory, configurations):
         if not apply_analysis(analysis, model):
             pending.append((config, model))
     if pending and isinstance(trace, Trace):
-        groups = {}
+        grids = {}
         for config, model in pending:
             classified = classify_model(model)
-            if classified is None:
-                continue
-            family, units = classified
-            groups.setdefault(family, set()).add(units)
-        # sibling seg spill modes come out of one scan: pool their
-        # unit grids so the shared table covers both
-        for family, units_set in list(groups.items()):
-            if family[0] == "seg":
-                sibling = ("seg",
-                           "live" if family[1] == "frame" else "frame",
-                           family[2], family[3])
-                if sibling in groups:
-                    units_set |= groups[sibling]
+            if classified is not None:
+                family, units = classified
+                # sibling seg spill modes come out of one scan: pool
+                # their unit grids under the family that scans them
+                scan = _scan_families(family)[0]
+                grids.setdefault(scan, set()).add(units)
         tables = {}
-        for family, units_set in groups.items():
-            if family in tables:
-                continue
+        for family, units_set in grids.items():
             try:
                 tables.update(_family_tables(trace, family,
                                              sorted(units_set)))
             except OracleUnsupported:
-                tables[family] = None
+                pass  # the cells of every family it prices replay
         for config, model in pending:
             classified = classify_model(model)
             served = False

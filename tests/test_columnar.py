@@ -59,13 +59,15 @@ def assert_sealed(model):
 
 
 @pytest.fixture(scope="module")
-def recorded():
+def recorded(tmp_path_factory):
+    """A cache-served GateSim trace (so it has a content address)."""
     from repro.workloads import GateSim
 
     workload = GateSim()
-    recorder = TracingRegisterFile(make_nsf(workload))
-    workload.run(recorder, scale=0.15, seed=1)
-    return workload, recorder.trace
+    trace = trace_cache.load_or_record(
+        workload, scale=0.15, seed=1,
+        directory=tmp_path_factory.mktemp("cache"))
+    return workload, trace
 
 
 def _pair(workload, trace, **kw):
@@ -81,7 +83,7 @@ def test_analysis_covers_recorded_workloads(recorded):
     analysis = columnar.analyze(trace)
     assert analysis is not None
     assert analysis.peak_lines > 0
-    # memoized per trace object
+    # memoized under the trace's content address
     assert columnar.analyze(trace) is analysis
 
 
@@ -208,7 +210,7 @@ def test_cid_reuse_is_synthesized_exactly():
 def test_missing_numpy_degrades_to_scalar(recorded, monkeypatch):
     workload, trace = recorded
     monkeypatch.setattr(columnar, "_np", None)
-    monkeypatch.setattr(columnar, "_ANALYSES", {})
+    trace_cache.clear_derived()
     assert not columnar.numpy_available()
     assert columnar.analyze(trace) is None
     scalar, fast = _pair(workload, trace)
