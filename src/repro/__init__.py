@@ -22,22 +22,19 @@ See ``examples/`` for complete programs and ``DESIGN.md`` for the
 system inventory.
 """
 
-from repro.core import (
-    NSF_COSTS,
-    SEGMENT_HW_COSTS,
-    SEGMENT_SW_COSTS,
-    AccessResult,
-    BackingStore,
-    ConventionalRegisterFile,
-    CostModel,
-    Ctable,
-    NamedStateRegisterFile,
-    RegFileStats,
-    RegisterFile,
-    SegmentedRegisterFile,
-    speedup,
-)
+from repro._lazy import lazy_exports
 from repro.errors import ReproError
+
+# the register-file models resolve on first use: importing ``repro``
+# (as every sweep-cell subprocess does) must not load them all
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core": (
+        "AccessResult", "BackingStore", "ConventionalRegisterFile",
+        "CostModel", "Ctable", "NSF_COSTS", "NamedStateRegisterFile",
+        "RegFileStats", "RegisterFile", "SEGMENT_HW_COSTS",
+        "SEGMENT_SW_COSTS", "SegmentedRegisterFile", "speedup",
+    ),
+})
 
 __version__ = "1.0.0"
 

@@ -23,40 +23,10 @@ Public API
   for bytes-level spill-traffic accounting
 """
 
+from repro._lazy import lazy_exports
 from repro.core.backing import BackingStore, Ctable
 from repro.core.base import FAST_PATH_DEFAULT, MISS, RegisterFile
-from repro.core.compress import (
-    CODEC_NAMES,
-    CODECS,
-    BaseDeltaCodec,
-    CodecStats,
-    CompressedBlock,
-    CompressedSpillPort,
-    CompressingBackingStore,
-    DictionaryCodec,
-    NarrowValueCodec,
-    RawCodec,
-    SpillCodec,
-    ZeroElisionCodec,
-    compress_spills,
-    make_codec,
-)
-from repro.core.costs import (
-    NSF_COSTS,
-    SEGMENT_HW_COSTS,
-    SEGMENT_SW_COSTS,
-    CostModel,
-    speedup,
-)
 from repro.core.nsf import NamedStateRegisterFile
-from repro.core.resilience import (
-    PROTECTION_LEVELS,
-    ProtectedRegisterFile,
-    ResilienceStats,
-    RetryingBackingStore,
-    secded_check,
-    secded_encode,
-)
 from repro.core.policies import (
     FIFOPolicy,
     LRUPolicy,
@@ -65,16 +35,6 @@ from repro.core.policies import (
     make_policy,
 )
 from repro.core.segmented import ConventionalRegisterFile, SegmentedRegisterFile
-from repro.core.snapshot import (
-    SNAPSHOT_VERSION,
-    canonical_bytes,
-    dumps,
-    from_canonical_bytes,
-    integrity_hash,
-    load_snapshot,
-    loads,
-    save_snapshot,
-)
 from repro.core.stats import (
     HIT_READ,
     HIT_SWITCH,
@@ -83,6 +43,32 @@ from repro.core.stats import (
     RegFileStats,
     TransferRecord,
 )
+
+# the spill codecs, cost models, protection ladder and snapshots load
+# on first use: a sweep cell that only replays onto a model never pays
+# for them
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.compress": (
+        "CODEC_NAMES", "CODECS", "BaseDeltaCodec", "CodecStats",
+        "CompressedBlock", "CompressedSpillPort",
+        "CompressingBackingStore", "DictionaryCodec", "NarrowValueCodec",
+        "RawCodec", "SpillCodec", "ZeroElisionCodec", "compress_spills",
+        "make_codec",
+    ),
+    "repro.core.costs": (
+        "NSF_COSTS", "SEGMENT_HW_COSTS", "SEGMENT_SW_COSTS", "CostModel",
+        "speedup",
+    ),
+    "repro.core.resilience": (
+        "PROTECTION_LEVELS", "ProtectedRegisterFile", "ResilienceStats",
+        "RetryingBackingStore", "secded_check", "secded_encode",
+    ),
+    "repro.core.snapshot": (
+        "SNAPSHOT_VERSION", "canonical_bytes", "dumps",
+        "from_canonical_bytes", "integrity_hash", "load_snapshot", "loads",
+        "save_snapshot",
+    ),
+})
 
 __all__ = [
     "AccessResult",

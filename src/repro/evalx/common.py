@@ -24,9 +24,7 @@ from contextlib import contextmanager
 
 from repro.core import NamedStateRegisterFile, SegmentedRegisterFile
 from repro.trace import cache as trace_cache
-from repro.trace.columnar import replay_columnar, selected_engine
-from repro.trace.oracle import serve_from_tables
-from repro.trace.replay import replay
+from repro.trace.replay import replay, selected_engine
 
 SEQ_REGISTERS = 80
 PAR_REGISTERS = 128
@@ -97,9 +95,14 @@ def _replay(trace, model, budgets):
     analysis when the (trace, model) pair never evicts, and falls back
     to the scalar loop otherwise.  Both engines leave byte-identical
     statistics by construction; a model the oracle served is sealed
-    (stats only, any access raises).
+    (stats only, any access raises).  The oracle modules (and NumPy)
+    load on the first oracle cell, so an event-engine sweep cell never
+    imports them.
     """
     if selected_engine() == "oracle":
+        from repro.trace.columnar import replay_columnar
+        from repro.trace.oracle import serve_from_tables
+
         if budgets is not None and serve_from_tables(trace, model,
                                                      budgets):
             return model

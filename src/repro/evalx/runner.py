@@ -27,6 +27,15 @@ write-ahead journal in deterministic *cell order* regardless of
 completion order, so the journal, resume semantics, and the final
 output file are byte-identical to a sequential run.
 
+A cell subprocess imports only the code its cell runs.  Interpreter
+start-up and imports, not replay, dominate a warm cell, and they are
+paid once per cell per attempt: the runner imports just the requested
+experiment module (:func:`_cell_module`), the package ``__init__``
+modules resolve their heavy names lazily (:mod:`repro._lazy`), event
+replay never loads the columnar/oracle engines or NumPy, and the
+workload execution machines load only when a trace must be recorded.
+``tests/test_lean_cells.py`` pins a warm cell's import set.
+
 CLI::
 
     python -m repro.evalx.runner sweep compression --scale 0.35 \
@@ -34,6 +43,7 @@ CLI::
     python -m repro.evalx.runner smoke --kills 3     # chaos self-test
 """
 
+import importlib
 import json
 import os
 import pathlib
@@ -45,7 +55,6 @@ import tempfile
 import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.chaos import plane as _chaos
 from repro.errors import JournalError
@@ -63,20 +72,24 @@ FAIL_CELLS_ENV = "REPRO_RUNNER_FAIL_CELLS"
 HANG_CELLS_ENV = "REPRO_RUNNER_HANG_CELLS"
 
 
-def _cell_modules():
-    from repro.evalx import chaos, compression, resilience, table1
+#: experiments that export the cell-splitter trio
+CELL_EXPERIMENTS = ("chaos", "compression", "resilience", "table1")
 
-    return {
-        "chaos": chaos,
-        "compression": compression,
-        "table1": table1,
-        "resilience": resilience,
-    }
+
+def _cell_module(experiment):
+    """The cell-splitting module of ``experiment``, or None.
+
+    Only the requested experiment is imported: a cell subprocess pays
+    for its own experiment's imports and no other's.
+    """
+    if experiment not in CELL_EXPERIMENTS:
+        return None
+    return importlib.import_module(f"repro.evalx.{experiment}")
 
 
 def sweep_cells(experiment):
     """The independent cells of one experiment, in table order."""
-    module = _cell_modules().get(experiment)
+    module = _cell_module(experiment)
     if module is not None:
         return module.cell_keys()
     return [GENERIC_CELL]
@@ -84,7 +97,7 @@ def sweep_cells(experiment):
 
 def run_cell(experiment, key, scale=1.0, seed=1):
     """Run one cell in-process; returns its journal payload."""
-    module = _cell_modules().get(experiment)
+    module = _cell_module(experiment)
     if module is not None:
         rows = module.run_cell_rows(key, scale=scale, seed=seed)
         return {"rows": [list(row) for row in rows]}
@@ -103,7 +116,7 @@ def assemble_table(experiment, scale, seed, cells):
     keys = sweep_cells(experiment)
     dropped = [key for key in keys
                if key not in cells or cells[key]["status"] != "ok"]
-    module = _cell_modules().get(experiment)
+    module = _cell_module(experiment)
     if module is None:
         record = cells.get(GENERIC_CELL)
         if record is None or record["status"] != "ok":
@@ -409,6 +422,10 @@ def run_sweep(experiment, scale=1.0, seed=1, journal_path=None,
             ran += 1
             commit(key, payload, error, attempts)
     elif pending:
+        # imported here, not at module level: cell subprocesses import
+        # this module and never run a pool
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {
                 key: pool.submit(_attempt_cell, experiment, key, scale,
@@ -707,7 +724,7 @@ def main(argv=None):
     if getattr(args, "engine", None):
         # _cell_env() copies os.environ, so the selector reaches every
         # cell subprocess (and farm worker) automatically
-        from repro.trace.columnar import ENV_ENGINE
+        from repro.trace.replay import ENV_ENGINE
 
         os.environ[ENV_ENGINE] = args.engine
     if args.command == "run-cell":

@@ -56,7 +56,7 @@ def run_farm_sweep(experiment, scale=1.0, seed=1, journal_path=None,
     worker and from there into each cell subprocess.
     """
     if engine:
-        from repro.trace.columnar import ENV_ENGINE
+        from repro.trace.replay import ENV_ENGINE
 
         os.environ[ENV_ENGINE] = engine
     if state_dir is None:
@@ -151,7 +151,7 @@ def smoke(experiment="compression", scale=0.2, seed=7, check=False,
         # reaches the reference sweep, the in-process farm scenario and
         # every relaunched farm subprocess (all envs derive from
         # _cell_env(), which copies os.environ)
-        from repro.trace.columnar import ENV_ENGINE
+        from repro.trace.replay import ENV_ENGINE
 
         os.environ[ENV_ENGINE] = engine
     if check:

@@ -58,8 +58,6 @@ any further access or checkpoint call raises
 :class:`~repro.errors.SealedModelError` instead of reading stale state.
 """
 
-import os
-
 from repro.core.backing import BackingStore
 from repro.core.nsf import NamedStateRegisterFile
 from repro.errors import SealedModelError
@@ -73,18 +71,19 @@ from repro.trace.events import (
     OP_WRITE,
     Trace,
 )
-from repro.trace.replay import _replay_fast, replay as _event_replay
+# the engine selection is re-exported for callers that read it here
+from repro.trace.replay import (  # noqa: F401
+    ENGINES,
+    ENV_ENGINE,
+    _replay_fast,
+    replay as _event_replay,
+    selected_engine,
+)
 
 try:  # pragma: no cover - exercised via the no-numpy CI leg
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
-
-#: env var selecting the replay engine used by the experiment harness
-ENV_ENGINE = "REPRO_REPLAY_ENGINE"
-
-#: recognized engine names (``event`` is the scalar exact loop)
-ENGINES = ("event", "oracle")
 
 #: refuse to allocate dense scatter tables beyond this many keys
 _MAX_KEY_SPACE = 1 << 20
@@ -93,17 +92,6 @@ _MAX_KEY_SPACE = 1 << 20
 def numpy_available():
     """True when the optional ``perf`` extra (NumPy) is importable."""
     return _np is not None
-
-
-def selected_engine(default="event"):
-    """The replay engine chosen via ``REPRO_REPLAY_ENGINE``.
-
-    Unknown names fall back to ``default`` rather than erroring: a
-    sweep cell inheriting a typo'd environment must still produce
-    correct numbers.
-    """
-    name = os.environ.get(ENV_ENGINE, "").strip().lower()
-    return name if name in ENGINES else default
 
 
 class TraceAnalysis:

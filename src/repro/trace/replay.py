@@ -15,7 +15,15 @@ Two engines over the packed int-opcode event array:
   array with the hot ops (read/write/tick) tested first.  This is what
   the experiment sweeps use once a trace is value-verified at record
   time.
+
+Engine selection lives here too, NumPy-free, so the sweep driver, farm
+workers and event-engine cells can read it without loading the
+columnar or oracle engines: ``REPRO_REPLAY_ENGINE`` picks ``event``
+(this module's scalar loop, the default) or ``oracle`` (the
+design-space tables of :mod:`repro.trace.oracle`).
 """
+
+import os
 
 from repro.errors import ReproError
 from repro.trace.events import (
@@ -29,6 +37,23 @@ from repro.trace.events import (
     Trace,
     WIDE_VALUE,
 )
+
+#: env var selecting the replay engine used by the experiment harness
+ENV_ENGINE = "REPRO_REPLAY_ENGINE"
+
+#: recognized engine names (``event`` is the scalar exact loop)
+ENGINES = ("event", "oracle")
+
+
+def selected_engine(default="event"):
+    """The replay engine chosen via ``REPRO_REPLAY_ENGINE``.
+
+    Unknown names fall back to ``default`` rather than erroring: a
+    sweep cell inheriting a typo'd environment must still produce
+    correct numbers.
+    """
+    name = os.environ.get(ENV_ENGINE, "").strip().lower()
+    return name if name in ENGINES else default
 
 
 class ReplayDivergenceError(ReproError):

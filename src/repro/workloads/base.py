@@ -25,9 +25,7 @@ import inspect
 import sys
 from dataclasses import dataclass, field
 
-from repro.activation import SequentialMachine
 from repro.errors import ReproError
-from repro.runtime import ThreadMachine
 
 SEQUENTIAL_CONTEXT = 20
 PARALLEL_CONTEXT = 32
@@ -119,10 +117,16 @@ class Workload:
 
     def make_machine(self, regfile, remote_latency=100, verify_values=True,
                      eager_switch=False):
+        # imported here: only a cold recording or a direct run executes
+        # the front-end, so a cell replaying a cached trace skips them
         if self.kind == "sequential":
+            from repro.activation import SequentialMachine
+
             return SequentialMachine(regfile,
                                      context_size=self.context_size,
                                      verify_values=verify_values)
+        from repro.runtime import ThreadMachine
+
         return ThreadMachine(regfile, context_size=self.context_size,
                              remote_latency=remote_latency,
                              verify_values=verify_values,
